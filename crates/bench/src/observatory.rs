@@ -331,14 +331,10 @@ pub fn run_suite(cfg: &SuiteConfig) -> Result<Artifact, EngineError> {
         );
         // Traced first run: span attribution, counters, digests, and
         // the allocator/numeric-growth telemetry of one full pass.
-        aov_trace::clear();
-        aov_trace::set_enabled(true);
         let alloc_before = aov_support::alloc::stats();
         aov_support::alloc::reset_peak();
-        let outcome = pipeline.run();
+        let (outcome, records) = aov_trace::capture(|| pipeline.run());
         let alloc_after = aov_support::alloc::stats();
-        aov_trace::set_enabled(false);
-        let records = aov_trace::drain();
         let first = outcome?;
         reject_degraded(name, &first)?;
         if let Some(dir) = &cfg.profile_dir {

@@ -5,8 +5,8 @@
 //! the caller's span context, so attribution must be independent of how
 //! orthants land on threads.
 //!
-//! The trace sink is process-global, so this lives in its own test
-//! binary (the other engine binaries never enable tracing).
+//! Spans are gathered with `aov_trace::capture`; the LP memo switch is
+//! process-global, so the runs still serialize on a mutex.
 //!
 //! The fingerprint covers the spans whose work is schedule-invariant:
 //! `p1.orthant` (Problem 1 never prunes, all 8 orthants of Example 1
@@ -54,17 +54,16 @@ fn fingerprint(records: &[SpanRecord]) -> BTreeMap<&'static str, Aggregate> {
 }
 
 fn traced_run(workers: usize) -> Vec<SpanRecord> {
-    aov_trace::clear();
-    aov_trace::set_enabled(true);
-    let report = Pipeline::for_example("example1")
-        .unwrap()
-        .workers(workers)
-        .memoize(false)
-        .run()
-        .expect("example1 runs");
-    aov_trace::set_enabled(false);
+    let (report, records) = aov_trace::capture(|| {
+        Pipeline::for_example("example1")
+            .unwrap()
+            .workers(workers)
+            .memoize(false)
+            .run()
+            .expect("example1 runs")
+    });
     assert_eq!(report.equivalent, Some(true));
-    aov_trace::drain()
+    records
 }
 
 #[test]

@@ -102,12 +102,10 @@ mod tests {
 
     #[test]
     fn parse_emits_trace_spans() {
-        aov_trace::set_enabled(true);
-        aov_trace::clear();
-        let _ = parse("program p;\narray A[1];\nstmt S(i) {\n  1 <= i <= 4;\n  A[i] = 0;\n}\n")
-            .unwrap();
-        let names: Vec<String> = aov_trace::drain().into_iter().map(|r| r.name).collect();
-        aov_trace::set_enabled(false);
+        let (_, records) = aov_trace::capture(|| {
+            parse("program p;\narray A[1];\nstmt S(i) {\n  1 <= i <= 4;\n  A[i] = 0;\n}\n").unwrap()
+        });
+        let names: Vec<String> = records.into_iter().map(|r| r.name).collect();
         assert!(names.iter().any(|n| n == "lang.parse"), "{names:?}");
         assert!(names.iter().any(|n| n == "lang.lower"), "{names:?}");
     }

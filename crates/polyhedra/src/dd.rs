@@ -78,12 +78,8 @@ fn normalize(v: &QVector) -> QVector {
 
 /// Computes the generators of `p`.
 pub(crate) fn generators(p: &Polyhedron) -> GeneratorSet {
-    // One span per constraint-to-generator conversion step. A hot span
-    // (example3 performs ~186k conversions): untraced runs pay nothing
-    // and the flight-recorder ring keeps its low-rate evidence; it is
-    // also deliberately field-free, since every byte on this record is
-    // multiplied heavily in traced runs.
-    let _span = aov_trace::hot_span!("p2.dd.step");
+    // One span per constraint-to-generator conversion.
+    let _span = aov_trace::span!("p2.dd.step");
     let d = p.dim();
     let hdim = d + 1;
     // Homogenized constraint rows: (coeff on λ = constant term, then x

@@ -14,8 +14,9 @@
 //! * [`Polyhedron::eliminate_dims`] — Fourier–Motzkin projection,
 //! * [`param`] — vertices of a polytope whose right-hand sides depend
 //!   affinely on symbolic parameters (Loechner–Wilde-style, with chamber
-//!   splitting), needed when iteration-domain vertices depend on loop
-//!   bounds or on the unknown occupancy vector.
+//!   splitting), for results that must stay symbolic in the parameters
+//!   (the extents of transformed arrays). Linearization itself needs
+//!   only [`Polyhedron::generators`] of the joint `(i, N)` polyhedron.
 //!
 //! # Examples
 //!

@@ -1,9 +1,11 @@
 //! Parameterized vertices (Loechner–Wilde-style) with chamber splitting.
 //!
-//! The linearization of §4.4.2 of the paper replaces an iteration vector
-//! by the vertices of its (parameterized) domain. When the domain's
-//! right-hand sides depend on symbolic parameters — loop bounds `N`, or
-//! the unknown occupancy vector `v` — the vertices are affine functions of
+//! §4.4.2 of the paper presents linearization as replacing an iteration
+//! vector by the vertices of its (parameterized) domain; the pipeline
+//! linearizes on the joint `(i, N)` polyhedron instead and uses this
+//! module where a result must stay symbolic in the parameters (the
+//! extents of transformed arrays). When the domain's right-hand sides
+//! depend on symbolic parameters, the vertices are affine functions of
 //! those parameters, and *which* candidate intersections are actual
 //! vertices can change across the parameter space. Following [13]
 //! (Loechner & Wilde), we enumerate candidate bases (the matrix of
@@ -287,10 +289,7 @@ fn split(
     depth: usize,
     out: &mut Vec<Chamber>,
 ) -> Result<(), PolyhedraError> {
-    // Hot span: chamber splitting recurses thousands of times per
-    // vertex enumeration — lite-mode ring events here would flood the
-    // flight recorder (see `hot_span!`).
-    let _span = aov_trace::hot_span!("p2.chamber", depth = depth, active = active.len());
+    let _span = aov_trace::span!("p2.chamber", depth = depth, active = active.len());
     let gens = domain.generators();
     if gens.is_empty() {
         return Ok(());

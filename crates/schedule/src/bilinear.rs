@@ -95,19 +95,6 @@ impl BilinearForm {
         }
     }
 
-    /// Substitutes the domain variables: `x_k := subs[k](y)`, producing a
-    /// form over the new domain space `y`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `subs.len() != self.domain_dim()`.
-    pub fn substitute_domain(&self, subs: &[AffineExpr]) -> BilinearForm {
-        BilinearForm {
-            coeffs: self.coeffs.iter().map(|c| c.substitute(subs)).collect(),
-            constant: self.constant.substitute(subs),
-        }
-    }
-
     /// Instantiates the domain point, yielding an affine form over the
     /// unknowns alone.
     pub fn at_point(&self, x: &QVector) -> AffineExpr {
@@ -165,20 +152,6 @@ mod tests {
         assert_eq!(
             f.eval(&QVector::from_i64(&[10, 100]), &QVector::from_i64(&[1, 2])),
             Rational::from(3 * 10 + 100 + 5)
-        );
-    }
-
-    #[test]
-    fn substitute_domain_composes() {
-        let f = sample();
-        // x := t, y := 2t + 1 (new domain is 1-d).
-        let g =
-            f.substitute_domain(&[AffineExpr::from_i64(&[1], 0), AffineExpr::from_i64(&[2], 1)]);
-        assert_eq!(g.domain_dim(), 1);
-        // At t = 2 ⇒ (x, y) = (2, 5).
-        assert_eq!(
-            g.at_point(&QVector::from_i64(&[2])),
-            f.at_point(&QVector::from_i64(&[2, 5]))
         );
     }
 

@@ -2,18 +2,20 @@
 //!
 //! Given a [`BilinearForm`] `F(u, (i, N))` that must be nonnegative for
 //! all `i` in a (parameterized) polytope and all `N` in the parameter
-//! domain, produce finitely many affine constraints over `u`:
+//! domain, produce finitely many affine constraints over `u`.
 //!
-//! 1. eliminate `i` at the parameterized vertices of the domain
-//!    (§4.4.2, using chamber decomposition when the vertex structure
-//!    varies),
-//! 2. eliminate `N` at the vertices and rays of each chamber's parameter
-//!    region (§4.4.3; rays contribute "linear part nonnegative"
-//!    constraints per Theorem 1, lines contribute equalities encoded as
-//!    two inequalities).
+//! For fixed unknowns `u` the form is affine in `(i, N)` jointly, so
+//! Theorem 1 applies once to the joint polyhedron
+//! `P = system ∩ (ℚ^{n_elim} × param_domain)`: `F(u, ·) >= 0` on `P` iff
+//! it holds at every vertex of `P`, its linear part is nonnegative along
+//! every ray, and null along every line (two opposite inequalities).
+//! One double-description conversion of `P` yields every row; no
+//! parameterized vertices or chamber decomposition are involved.
 
 use crate::BilinearForm;
-use aov_polyhedra::{param, PolyhedraError, Polyhedron};
+use aov_linalg::AffineExpr;
+use aov_numeric::Rational;
+use aov_polyhedra::{Constraint, PolyhedraError, Polyhedron};
 
 /// Linearizes `F(u, (i, N)) >= 0  ∀ (i, N) ∈ system, N ∈ param_domain`
 /// into affine constraints `g(u) >= 0`.
@@ -26,14 +28,15 @@ use aov_polyhedra::{param, PolyhedraError, Polyhedron};
 ///
 /// # Errors
 ///
-/// Propagates [`PolyhedraError`] from the parameterized-vertex
-/// computation (unbounded iteration domains, pathological chambers).
+/// [`PolyhedraError::UnboundedDirection`] when `system` leaves the
+/// iteration dims unbounded for fixed parameters (see
+/// [`eliminate_to_linear_tagged`]).
 pub fn eliminate_to_linear(
     form: &BilinearForm,
     system: &Polyhedron,
     n_elim: usize,
     param_domain: &Polyhedron,
-) -> Result<Vec<aov_linalg::AffineExpr>, PolyhedraError> {
+) -> Result<Vec<AffineExpr>, PolyhedraError> {
     Ok(
         eliminate_to_linear_tagged(form, system, n_elim, param_domain)?
             .into_iter()
@@ -42,72 +45,90 @@ pub fn eliminate_to_linear(
     )
 }
 
-/// Where a linearized row came from — a parameter-domain vertex (the form
-/// evaluated at a point) or a ray/line (the form's linear part along a
-/// direction). The storage solvers need the distinction: point rows carry
-/// the `v·Θ` coupling of the occupancy vector, direction rows do not.
+/// Where a linearized row came from — a vertex of the joint `(i, N)`
+/// polyhedron (the form evaluated at a point) or a ray/line (the form's
+/// linear part along a direction). The storage solvers need the
+/// distinction: point rows carry the `v·Θ` coupling of the occupancy
+/// vector, direction rows do not.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RowKind {
     /// Evaluated at a concrete `(i, N)` point.
     Point,
-    /// Linear part along an unbounded parameter direction.
+    /// Linear part along an unbounded `(i, N)` direction.
     Direction,
 }
 
 /// As [`eliminate_to_linear`], tagging each row with its [`RowKind`].
+///
+/// # Errors
+///
+/// [`PolyhedraError::UnboundedDirection`] when the recession cone of
+/// `system`'s iteration parts is not `{0}` — the iteration polytope is
+/// unbounded whenever it is nonempty. The joint enumeration would
+/// handle such directions exactly; the error is kept so that callers
+/// see the same contract as the parameterized-vertex formulation
+/// (`aov_polyhedra::param`).
 pub fn eliminate_to_linear_tagged(
     form: &BilinearForm,
     system: &Polyhedron,
     n_elim: usize,
     param_domain: &Polyhedron,
-) -> Result<Vec<(aov_linalg::AffineExpr, RowKind)>, PolyhedraError> {
-    assert_eq!(
-        form.domain_dim(),
-        system.dim(),
-        "form/system domain mismatch"
+) -> Result<Vec<(AffineExpr, RowKind)>, PolyhedraError> {
+    let dim = system.dim();
+    assert_eq!(form.domain_dim(), dim, "form/system domain mismatch");
+    assert_eq!(param_domain.dim(), dim - n_elim, "param domain dimension");
+    let iteration_part = |e: &AffineExpr| {
+        AffineExpr::from_parts(
+            (0..n_elim).map(|k| e.coeff(k).clone()).collect(),
+            Rational::zero(),
+        )
+    };
+    let recession = Polyhedron::from_constraints(
+        n_elim,
+        system
+            .constraints()
+            .iter()
+            .map(|c| with_kind(c, iteration_part(c.expr())))
+            .collect(),
     );
-    let n_params = system.dim() - n_elim;
-    assert_eq!(param_domain.dim(), n_params, "param domain dimension");
+    if !recession.generators().is_bounded() {
+        return Err(PolyhedraError::UnboundedDirection);
+    }
 
-    let chambers = param::parameterized_vertices(system, n_elim, param_domain)?;
+    let map: Vec<usize> = (n_elim..dim).collect();
+    let mut joint = system.clone();
+    for c in param_domain.constraints() {
+        joint.add_constraint(with_kind(c, c.expr().embed(dim, &map)));
+    }
+    let gens = joint.generators();
     let mut out = Vec::new();
-    for chamber in &chambers {
-        if chamber.vertices.is_empty() {
-            continue; // empty polytope on this chamber: nothing to require
-        }
-        let gens = chamber.domain.generators();
-        for vertex in &chamber.vertices {
-            // Substitute i := Γ(N): the domain space becomes N alone.
-            let mut subs = vertex.coords.clone();
-            for j in 0..n_params {
-                subs.push(aov_linalg::AffineExpr::var(n_params, j));
-            }
-            let over_params = form.substitute_domain(&subs);
-            for w in &gens.vertices {
-                push_nontrivial(&mut out, over_params.at_point(w), RowKind::Point);
-            }
-            for r in &gens.rays {
-                push_nontrivial(
-                    &mut out,
-                    over_params.linear_part_along(r),
-                    RowKind::Direction,
-                );
-            }
-            for l in &gens.lines {
-                let lin = over_params.linear_part_along(l);
-                push_nontrivial(&mut out, lin.clone(), RowKind::Direction);
-                push_nontrivial(&mut out, -&lin, RowKind::Direction);
-            }
-        }
+    if gens.is_empty() {
+        return Ok(out); // nothing to require on an empty domain
+    }
+    for v in &gens.vertices {
+        push_nontrivial(&mut out, form.at_point(v), RowKind::Point);
+    }
+    for r in &gens.rays {
+        push_nontrivial(&mut out, form.linear_part_along(r), RowKind::Direction);
+    }
+    for l in &gens.lines {
+        let lin = form.linear_part_along(l);
+        push_nontrivial(&mut out, lin.clone(), RowKind::Direction);
+        push_nontrivial(&mut out, -&lin, RowKind::Direction);
     }
     Ok(out)
 }
 
-fn push_nontrivial(
-    out: &mut Vec<(aov_linalg::AffineExpr, RowKind)>,
-    e: aov_linalg::AffineExpr,
-    kind: RowKind,
-) {
+/// A constraint of `c`'s kind on the expression `e`.
+fn with_kind(c: &Constraint, e: AffineExpr) -> Constraint {
+    if c.is_equality() {
+        Constraint::eq0(e)
+    } else {
+        Constraint::ge0(e)
+    }
+}
+
+fn push_nontrivial(out: &mut Vec<(AffineExpr, RowKind)>, e: AffineExpr, kind: RowKind) {
     if e.is_constant() {
         // A constant >= 0 requirement: either trivially true (drop) or a
         // contradiction (keep — the LP will report infeasibility).
@@ -123,8 +144,7 @@ fn push_nontrivial(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use aov_linalg::{AffineExpr, QVector};
-    use aov_polyhedra::Constraint;
+    use aov_linalg::QVector;
 
     fn ge(coeffs: &[i64], c: i64) -> Constraint {
         Constraint::ge0(AffineExpr::from_i64(coeffs, c))
@@ -237,5 +257,47 @@ mod tests {
                 assert_eq!(lin_ok, true_ok, "u = ({u0}, {u1})");
             }
         }
+    }
+
+    /// An iteration dimension without an upper bound is rejected, as
+    /// the parameterized-vertex formulation rejects it — even where the
+    /// joint polyhedron itself has no vertex to offer.
+    #[test]
+    fn unbounded_iteration_dim_is_rejected() {
+        let form = BilinearForm::new(vec![AffineExpr::from_i64(&[1, 0], 0)], AffineExpr::zero(2));
+        // i >= 0 with no upper bound; 1 <= n.
+        let system = Polyhedron::from_constraints(2, vec![ge(&[1, 0], 0)]);
+        let params = Polyhedron::from_constraints(1, vec![ge(&[1], -1)]);
+        assert_eq!(
+            eliminate_to_linear_tagged(&form, &system, 1, &params),
+            Err(PolyhedraError::UnboundedDirection)
+        );
+        // A lower bound that grows with n does not bound i either.
+        let system = Polyhedron::from_constraints(2, vec![ge(&[1, -1], 0)]);
+        assert_eq!(
+            eliminate_to_linear(&form, &system, 1, &params),
+            Err(PolyhedraError::UnboundedDirection)
+        );
+    }
+
+    /// A parameter line (an unconstrained parameter that the system
+    /// couples to `i`) becomes two opposite direction rows.
+    #[test]
+    fn lines_give_opposite_direction_rows() {
+        // F(u, (i, n)) = n·u0 over i == n, n free.
+        let form = BilinearForm::new(vec![AffineExpr::from_i64(&[0, 1], 0)], AffineExpr::zero(2));
+        let system = Polyhedron::from_constraints(
+            2,
+            vec![Constraint::eq0(AffineExpr::from_i64(&[1, -1], 0))],
+        );
+        let rows = eliminate_to_linear_tagged(&form, &system, 1, &Polyhedron::universe(1)).unwrap();
+        let dirs: Vec<&AffineExpr> = rows
+            .iter()
+            .filter(|(_, k)| *k == RowKind::Direction)
+            .map(|(e, _)| e)
+            .collect();
+        assert_eq!(dirs.len(), 2, "{rows:?}");
+        assert_eq!(dirs[0], &-dirs[1]);
+        assert!(!dirs[0].coeff(0).is_zero());
     }
 }

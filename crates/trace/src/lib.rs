@@ -62,6 +62,15 @@
 //! comparisons that must ignore scheduling noise, [`tree`] rebuilds the
 //! hierarchy with no timestamps at all (names, fields and children
 //! only), which makes span trees comparable across runs.
+//!
+//! # Scoped capture
+//!
+//! [`capture`] runs a closure with tracing on for the calling thread's
+//! span tree only — its own spans plus those of workers that [`adopt`]
+//! its context — and returns exactly those records. Captured spans
+//! bypass the process-global sink, so concurrent captures (parallel
+//! tests, say) never see each other's spans, and a capture neither
+//! needs nor toggles [`set_enabled`].
 
 pub mod chrome;
 pub mod flame;
@@ -70,13 +79,19 @@ pub mod recorder;
 
 use recorder::EventKind;
 use std::cell::RefCell;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Mutex, OnceLock};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
 
 static ENABLED: AtomicBool = AtomicBool::new(false);
 static NEXT_SPAN_ID: AtomicU64 = AtomicU64::new(1);
 static NEXT_THREAD_ID: AtomicU64 = AtomicU64::new(0);
+/// Number of [`capture`] calls in progress, process-wide. While it is
+/// zero, [`active`] never touches thread-local state.
+static CAPTURES: AtomicUsize = AtomicUsize::new(0);
+
+/// The record buffer of one [`capture`], shared with adopted workers.
+type CaptureBuf = Arc<Mutex<Vec<SpanRecord>>>;
 
 /// Monotonic origin for all span timestamps (first use wins).
 fn epoch() -> Instant {
@@ -113,6 +128,45 @@ pub fn set_enabled(on: bool) {
 #[inline]
 pub fn enabled() -> bool {
     ENABLED.load(Ordering::Relaxed)
+}
+
+/// Whether spans opened on this thread record in full: tracing is
+/// enabled process-wide, or the thread runs inside a [`capture`]
+/// (directly or through [`adopt`]).
+#[inline]
+pub fn active() -> bool {
+    enabled() || (CAPTURES.load(Ordering::Relaxed) > 0 && capturing())
+}
+
+fn capturing() -> bool {
+    TLS.try_with(|tls| tls.borrow().capture.is_some())
+        .unwrap_or(false)
+}
+
+/// Runs `f` with full tracing for the calling thread's span tree and
+/// returns its result together with exactly the spans that tree
+/// recorded: those opened on this thread while `f` runs, and those of
+/// workers that [`adopt`] a context captured inside `f`. The records
+/// come sorted like [`drain`]'s and never reach the global sink.
+pub fn capture<R>(f: impl FnOnce() -> R) -> (R, Vec<SpanRecord>) {
+    /// Restores the thread's previous capture even if `f` panics.
+    struct Scope(Option<CaptureBuf>);
+    impl Drop for Scope {
+        fn drop(&mut self) {
+            let prev = self.0.take();
+            let _ = TLS.try_with(|tls| tls.borrow_mut().capture = prev);
+            CAPTURES.fetch_sub(1, Ordering::Relaxed);
+        }
+    }
+    epoch();
+    let buf = CaptureBuf::default();
+    CAPTURES.fetch_add(1, Ordering::Relaxed);
+    let scope = Scope(TLS.with(|tls| tls.borrow_mut().capture.replace(buf.clone())));
+    let out = f();
+    drop(scope);
+    let mut records = std::mem::take(&mut *buf.lock().expect("trace capture poisoned"));
+    records.sort_by_key(|r| (r.thread, r.start_ns, r.id));
+    (out, records)
 }
 
 /// One finished span.
@@ -178,6 +232,8 @@ struct ThreadState {
     labels: Vec<SmallLabel>,
     /// Parent inherited from another thread via [`adopt`].
     adopted: Option<u64>,
+    /// The [`capture`] this thread's spans belong to, if any.
+    capture: Option<CaptureBuf>,
 }
 
 thread_local! {
@@ -186,6 +242,7 @@ thread_local! {
         stack: Vec::new(),
         labels: Vec::new(),
         adopted: None,
+        capture: None,
     });
 }
 
@@ -210,6 +267,8 @@ pub struct SpanContext {
     /// (0 = none). Captured even while tracing is disabled, so a
     /// daemon request's session survives fan-outs in untraced runs.
     session: u64,
+    /// The capturing thread's [`capture`], if any.
+    capture: Option<CaptureBuf>,
 }
 
 /// The context under which new spans on this thread would nest. The
@@ -218,11 +277,12 @@ pub struct SpanContext {
 pub fn current_context() -> SpanContext {
     let alloc = aov_support::alloc::current_handle();
     let session = recorder::current_session();
-    if !enabled() {
+    if !active() {
         return SpanContext {
             parent: None,
             alloc,
             session,
+            capture: None,
         };
     }
     TLS.with(|tls| {
@@ -231,6 +291,7 @@ pub fn current_context() -> SpanContext {
             parent: tls.stack.last().copied().or(tls.adopted),
             alloc,
             session,
+            capture: tls.capture.clone(),
         }
     })
 }
@@ -238,6 +299,7 @@ pub fn current_context() -> SpanContext {
 /// Guard restoring the thread's previous adopted parent on drop.
 pub struct AdoptGuard {
     prev: Option<u64>,
+    prev_capture: Option<CaptureBuf>,
     installed: bool,
     _alloc: Option<aov_support::alloc::AllocScope>,
     _session: recorder::SessionGuard,
@@ -248,13 +310,15 @@ pub struct AdoptGuard {
 /// Used by scoped fan-outs to keep worker spans nested under — and
 /// worker heap traffic charged to — the span that spawned them. The
 /// capturing thread's recorder session attribution is installed too,
-/// so a request's ring events stay stamped across its worker threads.
+/// so a request's ring events stay stamped across its worker threads,
+/// as is the capturing thread's [`capture`], if any.
 pub fn adopt(ctx: &SpanContext) -> AdoptGuard {
     let alloc = ctx.alloc.as_ref().map(aov_support::alloc::adopt);
     let session = recorder::enter_session(ctx.session);
-    if !enabled() {
+    if !enabled() && ctx.capture.is_none() {
         return AdoptGuard {
             prev: None,
+            prev_capture: None,
             installed: false,
             _alloc: alloc,
             _session: session,
@@ -262,10 +326,11 @@ pub fn adopt(ctx: &SpanContext) -> AdoptGuard {
     }
     TLS.with(|tls| {
         let mut tls = tls.borrow_mut();
-        let prev = tls.adopted;
-        tls.adopted = ctx.parent;
+        let prev = std::mem::replace(&mut tls.adopted, ctx.parent);
+        let prev_capture = std::mem::replace(&mut tls.capture, ctx.capture.clone());
         AdoptGuard {
             prev,
+            prev_capture,
             installed: true,
             _alloc: alloc,
             _session: session,
@@ -282,7 +347,12 @@ impl Drop for AdoptGuard {
         // `aov_support::alloc`).
         aov_support::alloc::flush_local();
         if self.installed {
-            TLS.with(|tls| tls.borrow_mut().adopted = self.prev);
+            let prev_capture = self.prev_capture.take();
+            TLS.with(|tls| {
+                let mut tls = tls.borrow_mut();
+                tls.adopted = self.prev;
+                tls.capture = prev_capture;
+            });
         }
     }
 }
@@ -296,6 +366,8 @@ struct ActiveSpan {
     start: Instant,
     start_ns: u64,
     alloc: aov_support::alloc::AllocScope,
+    /// Where the record goes: a [`capture`] buffer or the global sink.
+    capture: Option<CaptureBuf>,
 }
 
 /// A lightweight always-on span: feeds the flight recorder and the
@@ -339,18 +411,18 @@ impl SpanGuard {
         }))
     }
 
-    /// Opens a span (the enabled arm of [`span!`]). Prefer the macro,
-    /// which checks [`enabled`] before evaluating any argument.
+    /// Opens a span (the active arm of [`span!`]). Prefer the macro,
+    /// which checks [`active`] before evaluating any argument.
     pub fn enter_with(name: String, fields: Vec<(&'static str, String)>) -> SpanGuard {
         let id = NEXT_SPAN_ID.fetch_add(1, Ordering::Relaxed);
         let label = SmallLabel::new(&name);
-        let (parent, thread) = TLS.with(|tls| {
+        let (parent, thread, capture) = TLS.with(|tls| {
             let mut tls = tls.borrow_mut();
             let parent = tls.stack.last().copied().or(tls.adopted);
             let thread = tls.thread_id;
             tls.stack.push(id);
             tls.labels.push(label);
-            (parent, thread)
+            (parent, thread, tls.capture.clone())
         });
         recorder::record(EventKind::SpanEnter, label.as_str(), id, 0);
         // The allocation scope opens last so the guard's own
@@ -367,6 +439,7 @@ impl SpanGuard {
             start,
             start_ns,
             alloc,
+            capture,
         }))
     }
 
@@ -427,7 +500,10 @@ impl Drop for SpanGuard {
                 // attribution so growth reallocations never charge
                 // whichever user span happens to enclose this drop.
                 let _pause = aov_support::alloc::exempt();
-                sink().lock().expect("trace sink poisoned").push(record);
+                match &span.capture {
+                    Some(buf) => buf.lock().expect("trace capture poisoned").push(record),
+                    None => sink().lock().expect("trace sink poisoned").push(record),
+                }
             }
         }
     }
@@ -446,7 +522,7 @@ impl Drop for SpanGuard {
 #[macro_export]
 macro_rules! span {
     ($name:expr $(, $key:ident = $value:expr)* $(,)?) => {
-        if $crate::enabled() {
+        if $crate::active() {
             $crate::SpanGuard::enter_with(
                 ::std::string::String::from($name),
                 ::std::vec![$((
@@ -456,31 +532,6 @@ macro_rules! span {
             )
         } else {
             $crate::SpanGuard::enter_lite(::std::convert::AsRef::<str>::as_ref(&$name))
-        }
-    };
-}
-
-/// Opens a span on a *hot* call site — one entered so often that its
-/// lite-mode ring events would flood the flight recorder and scroll
-/// away the low-rate evidence crash bundles rely on (stage
-/// transitions, chaos markers, budget trips): a 4096-slot ring holds
-/// well under a second of `polyhedra::dd` churn. While tracing is
-/// enabled the guard records a full span exactly like [`span!`]; while
-/// disabled it is a free no-op — no ring events, no label push, no
-/// timestamps.
-#[macro_export]
-macro_rules! hot_span {
-    ($name:expr $(, $key:ident = $value:expr)* $(,)?) => {
-        if $crate::enabled() {
-            $crate::SpanGuard::enter_with(
-                ::std::string::String::from($name),
-                ::std::vec![$((
-                    ::std::stringify!($key),
-                    ::std::string::ToString::to_string(&$value),
-                )),*],
-            )
-        } else {
-            $crate::SpanGuard::disabled()
         }
     };
 }
@@ -544,21 +595,23 @@ mod tests {
     use super::*;
     use std::sync::Mutex as StdMutex;
 
-    // Tracing state is process-global; serialize the tests that toggle it.
+    // Tracing state and the flight-recorder ring are process-global;
+    // serialize the tests that toggle the one or emit into the other
+    // (the recorder's tests assert exact ring contents).
     static TEST_LOCK: StdMutex<()> = StdMutex::new(());
 
+    pub(crate) fn locked() -> std::sync::MutexGuard<'static, ()> {
+        TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
     fn with_tracing<R>(f: impl FnOnce() -> R) -> (R, Vec<SpanRecord>) {
-        let _guard = TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-        set_enabled(true);
-        clear();
-        let out = f();
-        set_enabled(false);
-        (out, drain())
+        let _guard = locked();
+        capture(f)
     }
 
     #[test]
     fn disabled_records_nothing() {
-        let _guard = TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+        let _guard = locked();
         set_enabled(false);
         clear();
         {
@@ -569,7 +622,7 @@ mod tests {
 
     #[test]
     fn disabled_span_still_feeds_recorder_and_labels() {
-        let _guard = TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+        let _guard = locked();
         set_enabled(false);
         recorder::clear();
         {
@@ -735,13 +788,89 @@ mod tests {
 
     #[test]
     fn drain_is_sorted_and_clears() {
-        let (_, records) = with_tracing(|| {
+        let _guard = locked();
+        set_enabled(true);
+        clear();
+        {
             let _a = span!("test.z");
             let _b = span!("test.y");
-        });
+        }
+        set_enabled(false);
+        let records = drain();
+        assert_eq!(records.len(), 2);
         assert!(records.windows(2).all(
             |w| (w[0].thread, w[0].start_ns, w[0].id) <= (w[1].thread, w[1].start_ns, w[1].id)
         ));
         assert!(drain().is_empty());
+    }
+
+    /// Concurrent captures each see exactly their own tree, adopted
+    /// workers included, and nothing reaches the global sink — even
+    /// while global tracing is on.
+    #[test]
+    fn captures_are_isolated_from_each_other_and_the_sink() {
+        let _guard = locked();
+        set_enabled(true);
+        clear();
+        let run = |tag: u64| {
+            capture(|| {
+                let root = span!("test.cap_root", tag = tag);
+                let ctx = current_context();
+                let ctx = &ctx;
+                std::thread::scope(|s| {
+                    for w in 0..2u64 {
+                        s.spawn(move || {
+                            let _adopt = adopt(ctx);
+                            let _w = span!("test.cap_worker", w = w);
+                        });
+                    }
+                });
+                drop(root);
+            })
+            .1
+        };
+        let (a, b) = std::thread::scope(|s| {
+            let a = s.spawn(|| run(1));
+            let b = s.spawn(|| run(2));
+            (a.join().unwrap(), b.join().unwrap())
+        });
+        set_enabled(false);
+        for (records, tag) in [(a, "1"), (b, "2")] {
+            assert_eq!(records.len(), 3, "{records:?}");
+            let roots = tree(&records);
+            assert_eq!(roots.len(), 1);
+            assert_eq!(roots[0].fields, vec![("tag", tag.to_string())]);
+            assert_eq!(roots[0].children.len(), 2, "workers adopted the root");
+        }
+        // Other tests may trace into the sink meanwhile; none of this
+        // test's spans may be there.
+        assert!(
+            drain().iter().all(|r| !r.name.starts_with("test.cap_")),
+            "captured spans bypass the sink"
+        );
+    }
+
+    /// Outside a capture, with tracing off, spans record nothing; a
+    /// worker that adopted a capture's context stops capturing once
+    /// its guard drops.
+    #[test]
+    fn capture_ends_with_its_scope() {
+        let _guard = locked();
+        let ((), records) = capture(|| {
+            let ctx = current_context();
+            std::thread::scope(|s| {
+                s.spawn(|| {
+                    {
+                        let _adopt = adopt(&ctx);
+                        let _in = span!("test.cap_inside");
+                    }
+                    assert!(!active() || enabled());
+                    let _out = span!("test.cap_after");
+                });
+            });
+        });
+        let names: Vec<&str> = records.iter().map(|r| r.name.as_str()).collect();
+        assert_eq!(names, vec!["test.cap_inside"]);
+        assert!(!capturing());
     }
 }

@@ -492,15 +492,10 @@ pub fn clear() {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Mutex;
 
-    // The ring is process-global; serialize tests that assert contents.
-    static LOCK: Mutex<()> = Mutex::new(());
-
-    fn locked() -> std::sync::MutexGuard<'static, ()> {
-        LOCK.lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-    }
+    // The ring is process-global, and every span feeds it: share the
+    // crate's test lock with the span tests.
+    use crate::tests::locked;
 
     #[test]
     fn records_and_snapshots_in_order() {

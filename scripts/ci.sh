@@ -151,26 +151,6 @@ fi
 ./target/release/aov inspect "${bundles[0]}" --check
 ./target/release/aov inspect "${bundles[0]}" > /dev/null
 
-echo "== profile wrapper guard"
-# scripts/profile_example3.sh must stay a pure exec wrapper around
-# scripts/profile.sh, and both must advertise the same optional flags:
-# anything else is the flag drift between the two entry points
-# reappearing.
-if ! grep -q 'exec "$(dirname "$0")/profile.sh" example3 "$@"' scripts/profile_example3.sh; then
-    echo "profile wrapper guard: profile_example3.sh no longer delegates to profile.sh"
-    exit 1
-fi
-if grep -qE '^[[:space:]]*(cargo|\./target)' scripts/profile_example3.sh; then
-    echo "profile wrapper guard: the wrapper must not build or invoke the binary itself"
-    exit 1
-fi
-for f in scripts/profile.sh scripts/profile_example3.sh; do
-    if ! grep -q -- '\[trace-file\] \[workers\] \[--mem\]' "$f"; then
-        echo "profile wrapper guard: $f usage drifted from '[trace-file] [workers] [--mem]'"
-        exit 1
-    fi
-done
-
 echo "== serve smoke"
 # aovd on a random port serves three concurrent clients — a healthy
 # solve (exit 0), a budget-tripped solve (degraded, exit 3), and a

@@ -663,11 +663,8 @@ mod tests {
     /// `fuzz.case` spans are emitted per case.
     #[test]
     fn emits_case_spans() {
-        aov_trace::set_enabled(true);
-        aov_trace::clear();
-        let _ = quiet(&FuzzConfig::quick(5, 2));
-        let names: Vec<String> = aov_trace::drain().into_iter().map(|r| r.name).collect();
-        aov_trace::set_enabled(false);
+        let (_, records) = aov_trace::capture(|| quiet(&FuzzConfig::quick(5, 2)));
+        let names: Vec<String> = records.into_iter().map(|r| r.name).collect();
         assert_eq!(
             names.iter().filter(|n| n.as_str() == "fuzz.case").count(),
             2,
