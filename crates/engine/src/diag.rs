@@ -31,12 +31,12 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use aov_fault::Budget;
 use aov_ir::Program;
 use aov_support::schema::Schema;
-use aov_support::{digest, Json, ToJson};
+use aov_support::{Json, ToJson};
 use aov_trace::recorder;
 
 use crate::pipeline::{
-    counters_schema, error_chain_of, stage_schema, BudgetSpec, EngineError, Health, StageOutcome,
-    StageReport,
+    counters_schema, error_chain_of, program_digest, stage_schema, BudgetSpec, EngineError, Health,
+    StageOutcome, StageReport,
 };
 
 /// The bundle format identifier stored in every document's `schema`
@@ -265,10 +265,7 @@ pub(crate) fn build_bundle(
             "identity",
             Json::obj()
                 .field("version", env!("CARGO_PKG_VERSION"))
-                .field(
-                    "program_digest",
-                    digest::fnv1a_hex(format!("{program:?}").as_bytes()).as_str(),
-                ),
+                .field("program_digest", program_digest(program).as_str()),
         )
 }
 

@@ -666,12 +666,10 @@ impl Pipeline {
         Ok(Pipeline::new(program))
     }
 
-    /// FNV-1a digest of the program IR — the identity stamped into diag
-    /// bundles and `aov-profile/1` artifacts, so either document can be
-    /// matched to the exact input that produced it.
+    /// The [`program_digest`] of this pipeline's program.
     #[must_use]
     pub fn program_digest(&self) -> String {
-        aov_support::digest::fnv1a_hex(format!("{:?}", self.program).as_bytes())
+        program_digest(&self.program)
     }
 
     /// Fans the per-orthant solvers out over `workers` threads
@@ -1392,6 +1390,15 @@ fn ov_detail(p: &Program, ov: &OvResult) -> Json {
         .field("vectors", vectors)
 }
 
+/// FNV-1a digest of the program IR — the identity stamped into diag
+/// bundles and `aov-profile/1` artifacts, so either document can be
+/// matched to the exact input that produced it. A pure function of the
+/// program: equal programs digest equally in every process.
+#[must_use]
+pub fn program_digest(program: &Program) -> String {
+    aov_support::digest::fnv1a_hex(format!("{program:?}").as_bytes())
+}
+
 /// Convenience: run the instrumented pipeline on a named example.
 ///
 /// # Errors
@@ -1404,6 +1411,17 @@ pub fn run_example(name: &str, workers: usize) -> Result<Report, EngineError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The digest must not depend on hasher seeds: every fresh
+    /// construction of a program (each with its own `HashMap` keys)
+    /// digests the same.
+    #[test]
+    fn program_digest_is_deterministic() {
+        let digests: std::collections::BTreeSet<String> = (0..16)
+            .map(|_| Pipeline::new(examples::example1()).program_digest())
+            .collect();
+        assert_eq!(digests.len(), 1, "{digests:?}");
+    }
 
     #[test]
     fn unknown_example_is_rejected() {

@@ -26,10 +26,22 @@ use std::ops::{Add, Mul, Neg, Sub};
 /// assert_eq!(vars.index("j"), Some(1));
 /// assert_eq!(vars.len(), 2);
 /// ```
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
+#[derive(Clone, Default, PartialEq, Eq)]
 pub struct VarSet {
     names: Vec<String>,
     index: HashMap<String, usize>,
+}
+
+/// Prints `names` only: `index` is derived from it, and its iteration
+/// order follows the per-process hasher seed, which would make every
+/// rendering that embeds a `VarSet` (such as the program digest)
+/// differ between runs.
+impl fmt::Debug for VarSet {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("VarSet")
+            .field("names", &self.names)
+            .finish()
+    }
 }
 
 impl VarSet {

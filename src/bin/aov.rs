@@ -122,6 +122,9 @@
 //!   --profile-dir DIR     also write one `aov-profile/1` artifact per
 //!                         example (profile_<name>.json) from the
 //!                         suite's traced run
+//!   --serve-clients N     after the suite, run an `aovd` load test with
+//!                         N concurrent clients and record its summary
+//!                         in the artifact's `serve` block
 //!   --budget-pivots N     solver budget passed through to every
 //!   --budget-nodes N      pipeline run; a tripped budget degrades the
 //!   --budget-ms N         run and the suite refuses to record it
@@ -141,7 +144,7 @@
 //!   itself never gates — gating is the pairwise baseline comparison's
 //!   job).
 //!
-//! aov pdiff BASE NEW [--time-rel F] [--time-floor-us N]
+//! aov pdiff BASE NEW
 //!
 //!   Differential profiling: compare two `aov-profile/1` artifacts with
 //!   the bench suite's noise-aware bands (relative band plus an
@@ -221,6 +224,7 @@ impl ProgramSpec {
     }
 }
 
+#[derive(Default)]
 struct Options {
     programs: Vec<ProgramSpec>,
     check_syntax: bool,
@@ -264,7 +268,7 @@ fn usage() -> ! {
          aov pdiff BASE NEW\n       \
          aov trend ARTIFACT ARTIFACT.. [--out FILE] [--compact]\n       \
          aov inspect FILE [--check]\n       \
-         aovd / aov aovd [--addr A] [--workers N] [--queue N] \
+         aov aovd [--addr A] [--workers N] [--queue N] \
          [--no-memo] [--memo-capacity N] [--pivot-pool N] \
          [--deadline-ms N] [--diag-dir DIR] [--retry-after-ms N] \
          [--access-log FILE] [--access-log-max-bytes N]\n       \
@@ -284,108 +288,91 @@ fn usage() -> ! {
     std::process::exit(64);
 }
 
-/// Parses the shared `--budget-*` flags; returns whether `arg` was one.
-fn parse_budget_flag(
-    budget: &mut BudgetSpec,
-    arg: &str,
-    it: &mut std::slice::Iter<'_, String>,
-) -> bool {
-    let slot = match arg {
-        "--budget-pivots" => &mut budget.pivots,
-        "--budget-nodes" => &mut budget.nodes,
-        "--budget-ms" => &mut budget.ms,
-        _ => return false,
-    };
-    match it.next().and_then(|n| n.parse().ok()) {
-        Some(n) => *slot = Some(n),
-        None => usage(),
+/// A cursor over one subcommand's arguments. [`Args::value`] is the one
+/// place a flag's value is read; a missing or malformed value is a
+/// usage error (exit 64).
+struct Args<'a>(std::slice::Iter<'a, String>);
+
+impl<'a> Args<'a> {
+    fn new(args: &'a [String]) -> Self {
+        Args(args.iter())
     }
-    true
+
+    /// The next flag or positional argument.
+    fn next(&mut self) -> Option<&'a str> {
+        self.0.next().map(String::as_str)
+    }
+
+    /// The value that follows the flag just read.
+    fn value(&mut self) -> String {
+        self.next().map_or_else(|| usage(), str::to_string)
+    }
+
+    /// [`Args::value`] parsed as a `T`.
+    fn num<T: std::str::FromStr>(&mut self) -> T {
+        self.value().parse().unwrap_or_else(|_| usage())
+    }
+
+    /// [`Args::num`] for a count that must be at least 1.
+    fn positive(&mut self) -> usize {
+        match self.num() {
+            0 => usage(),
+            n => n,
+        }
+    }
+
+    /// [`Args::value`] as a comma-separated list; every item is trimmed
+    /// and must parse as a `T`.
+    fn list<T: std::str::FromStr>(&mut self) -> Vec<T> {
+        self.value()
+            .split(',')
+            .map(|s| s.trim().parse().unwrap_or_else(|_| usage()))
+            .collect()
+    }
+
+    /// Reads the value of a shared `--budget-*` flag into `budget`;
+    /// returns whether `flag` was one.
+    fn budget(&mut self, flag: &str, budget: &mut BudgetSpec) -> bool {
+        let slot = match flag {
+            "--budget-pivots" => &mut budget.pivots,
+            "--budget-nodes" => &mut budget.nodes,
+            "--budget-ms" => &mut budget.ms,
+            _ => return false,
+        };
+        *slot = Some(self.num());
+        true
+    }
 }
 
 /// Parses the main command line; under `run_mode` (`aov run …`),
 /// positional arguments are `.aov` file paths instead of example names.
 fn parse(args: &[String], run_mode: bool) -> Options {
     let mut opts = Options {
-        programs: Vec::new(),
-        check_syntax: false,
         workers: aov_bench::default_workers(),
-        memoize: false,
-        machine: false,
-        params: None,
         runs: 1,
-        compact: false,
-        trace: None,
-        profile: false,
-        profile_out: None,
-        progress: false,
-        mem: false,
-        diag_dir: None,
-        check_trace: None,
-        check_report: None,
-        budget: BudgetSpec::default(),
-        chaos: None,
+        ..Options::default()
     };
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        if parse_budget_flag(&mut opts.budget, arg, &mut it) {
-            continue;
-        }
-        match arg.as_str() {
-            "--workers" => match it.next().and_then(|w| w.parse().ok()) {
-                Some(w) => opts.workers = w,
-                None => usage(),
-            },
+    let mut a = Args::new(args);
+    while let Some(arg) = a.next() {
+        match arg {
+            f if a.budget(f, &mut opts.budget) => {}
+            "--workers" => opts.workers = a.num(),
             "--sequential" => opts.workers = 1,
             "--memoize" => opts.memoize = true,
             "--machine" => opts.machine = true,
-            "--params" => match it.next() {
-                Some(spec) => {
-                    let parsed: Option<Vec<i64>> =
-                        spec.split(',').map(|s| s.trim().parse().ok()).collect();
-                    match parsed {
-                        Some(ps) if !ps.is_empty() => opts.params = Some(ps),
-                        _ => usage(),
-                    }
-                }
-                None => usage(),
-            },
-            "--runs" => match it.next().and_then(|r| r.parse().ok()) {
-                Some(r) if r >= 1 => opts.runs = r,
-                _ => usage(),
-            },
+            "--params" => opts.params = Some(a.list()),
+            "--runs" => opts.runs = a.positive(),
             "--compact" => opts.compact = true,
-            "--trace" => match it.next() {
-                Some(f) => opts.trace = Some(f.clone()),
-                None => usage(),
-            },
+            "--trace" => opts.trace = Some(a.value()),
             "--profile" => opts.profile = true,
-            "--profile-out" => match it.next() {
-                Some(f) => opts.profile_out = Some(f.clone()),
-                None => usage(),
-            },
+            "--profile-out" => opts.profile_out = Some(a.value()),
             "--progress" => opts.progress = true,
             "--mem" => opts.mem = true,
-            "--diag-dir" => match it.next() {
-                Some(d) => opts.diag_dir = Some(d.clone()),
-                None => usage(),
-            },
-            "--check-trace" => match it.next() {
-                Some(f) => opts.check_trace = Some(f.clone()),
-                None => usage(),
-            },
-            "--check-report" => match it.next() {
-                Some(f) => opts.check_report = Some(f.clone()),
-                None => usage(),
-            },
-            "--chaos" => match it.next() {
-                Some(spec) => opts.chaos = Some(spec.clone()),
-                None => usage(),
-            },
-            "--example" => match it.next() {
-                Some(name) => opts.programs.push(ProgramSpec::Example(name.clone())),
-                None => usage(),
-            },
+            "--diag-dir" => opts.diag_dir = Some(a.value()),
+            "--check-trace" => opts.check_trace = Some(a.value()),
+            "--check-report" => opts.check_report = Some(a.value()),
+            "--chaos" => opts.chaos = Some(a.value()),
+            "--example" => opts.programs.push(ProgramSpec::Example(a.value())),
             "--check" => opts.check_syntax = true,
             "all" if !run_mode => {
                 opts.programs
@@ -421,6 +408,57 @@ fn parse(args: &[String], run_mode: bool) -> Options {
     opts
 }
 
+/// Reads a whole file; the error names the file.
+fn read_text(path: &str) -> Result<String, String> {
+    std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))
+}
+
+/// Parses JSON text read from `origin`; the error names the origin.
+fn parse_json(origin: &str, text: &str) -> Result<Json, String> {
+    Json::parse(text).map_err(|e| format!("{origin}: invalid JSON: {e}"))
+}
+
+/// Reads and parses a JSON file.
+fn read_json(path: &str) -> Result<Json, String> {
+    parse_json(path, &read_text(path)?)
+}
+
+/// Writes `doc`, pretty-printed or as one compact line, to the file
+/// `out`, or to stdout when `out` is `None`. Stdout errors (a closed
+/// pipe, as in `aov … | head`) are ignored; a file error names the file.
+fn write_json(doc: &Json, compact: bool, out: Option<&str>) -> Result<(), String> {
+    let text = if compact {
+        format!("{}\n", doc.to_compact())
+    } else {
+        doc.to_pretty()
+    };
+    match out {
+        Some(path) => std::fs::write(path, text).map_err(|e| format!("cannot write {path}: {e}")),
+        None => {
+            use std::io::Write;
+            let _ = std::io::stdout().write_all(text.as_bytes());
+            Ok(())
+        }
+    }
+}
+
+/// The value of `r`, or `None` after printing its error as
+/// `{context}: {error}`.
+fn ok_or_print<T, E: std::fmt::Display>(context: &str, r: Result<T, E>) -> Option<T> {
+    r.map_err(|e| eprintln!("{context}: {e}")).ok()
+}
+
+/// Whether a schema validation passed; on failure prints `header` and
+/// one indented line per violation.
+fn schema_ok(verdict: Result<(), Vec<String>>, header: &str) -> bool {
+    let Err(errors) = verdict else { return true };
+    eprintln!("{header}");
+    for e in &errors {
+        eprintln!("  {e}");
+    }
+    false
+}
+
 /// Reads and parses the source behind a parser-path program spec,
 /// exiting 64 with a caret diagnostic on any syntax or lowering error.
 fn load_source_program(spec: &ProgramSpec) -> (String, aov_ir::Program) {
@@ -436,10 +474,10 @@ fn load_source_program(spec: &ProgramSpec) -> (String, aov_ir::Program) {
                 std::process::exit(64);
             }
         },
-        ProgramSpec::File(path) => match std::fs::read_to_string(path) {
+        ProgramSpec::File(path) => match read_text(path) {
             Ok(src) => (path.clone(), src),
             Err(e) => {
-                eprintln!("aov: {path}: {e}");
+                eprintln!("aov: {e}");
                 std::process::exit(64);
             }
         },
@@ -489,25 +527,13 @@ fn check_syntax_main(opts: &Options) -> i32 {
 /// Validates a written pipeline report (healthy or degraded) against
 /// [`aov_engine::report_schema`].
 fn check_report(path: &str) -> i32 {
-    let text = match std::fs::read_to_string(path) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("aov: {path}: {e}");
-            return 1;
-        }
+    let Some(json) = ok_or_print("aov", read_json(path)) else {
+        return 1;
     };
-    let json = match Json::parse(&text) {
-        Ok(j) => j,
-        Err(e) => {
-            eprintln!("aov: {path}: invalid JSON: {e}");
-            return 1;
-        }
-    };
-    if let Err(errors) = aov_support::schema::validate(&json, &aov_engine::report_schema()) {
-        eprintln!("aov: {path}: report schema violations:");
-        for e in &errors {
-            eprintln!("  {e}");
-        }
+    if !schema_ok(
+        aov_support::schema::validate(&json, &aov_engine::report_schema()),
+        &format!("aov: {path}: report schema violations:"),
+    ) {
         return 1;
     }
     let health = match json.get("health") {
@@ -522,19 +548,8 @@ fn check_report(path: &str) -> i32 {
 /// `aov_support::json`) and requires at least one `pipeline.*` root span
 /// among the trace events.
 fn check_trace(path: &str) -> i32 {
-    let text = match std::fs::read_to_string(path) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("aov: {path}: {e}");
-            return 1;
-        }
-    };
-    let json = match Json::parse(&text) {
-        Ok(j) => j,
-        Err(e) => {
-            eprintln!("aov: {path}: invalid JSON: {e}");
-            return 1;
-        }
+    let Some(json) = ok_or_print("aov", read_json(path)) else {
+        return 1;
     };
     let Some(Json::Arr(events)) = json.get("traceEvents") else {
         eprintln!("aov: {path}: no traceEvents array");
@@ -555,111 +570,17 @@ fn check_trace(path: &str) -> i32 {
     0
 }
 
-struct BenchOptions {
-    runs: usize,
-    out: Option<String>,
-    baseline: Option<String>,
-    fail_on_regression: bool,
-    examples: Vec<String>,
-    workers: usize,
-    quick: bool,
-    figures: bool,
-    check: Option<String>,
-    profile_dir: Option<String>,
-    budget: BudgetSpec,
-    serve_clients: Option<usize>,
-}
-
-fn parse_bench(args: &[String]) -> BenchOptions {
-    let mut opts = BenchOptions {
-        runs: 1,
-        out: None,
-        baseline: None,
-        fail_on_regression: false,
-        examples: aov_bench::EXAMPLES
-            .iter()
-            .map(|s| (*s).to_string())
-            .collect(),
-        workers: aov_bench::default_workers(),
-        quick: false,
-        figures: true,
-        check: None,
-        profile_dir: None,
-        budget: BudgetSpec::default(),
-        serve_clients: None,
-    };
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        if parse_budget_flag(&mut opts.budget, arg, &mut it) {
-            continue;
-        }
-        match arg.as_str() {
-            "--runs" => match it.next().and_then(|r| r.parse().ok()) {
-                Some(r) if r >= 1 => opts.runs = r,
-                _ => usage(),
-            },
-            "--out" => match it.next() {
-                Some(f) => opts.out = Some(f.clone()),
-                None => usage(),
-            },
-            "--baseline" => match it.next() {
-                Some(f) => opts.baseline = Some(f.clone()),
-                None => usage(),
-            },
-            "--fail-on-regression" => opts.fail_on_regression = true,
-            "--examples" => match it.next() {
-                Some(spec) => {
-                    opts.examples = spec
-                        .split(',')
-                        .map(|s| s.trim().to_string())
-                        .filter(|s| !s.is_empty())
-                        .collect();
-                    if opts.examples.is_empty() {
-                        usage();
-                    }
-                }
-                None => usage(),
-            },
-            "--workers" => match it.next().and_then(|w| w.parse().ok()) {
-                Some(w) => opts.workers = w,
-                None => usage(),
-            },
-            "--quick" => opts.quick = true,
-            "--no-figures" => opts.figures = false,
-            "--check" => match it.next() {
-                Some(f) => opts.check = Some(f.clone()),
-                None => usage(),
-            },
-            "--profile-dir" => match it.next() {
-                Some(d) => opts.profile_dir = Some(d.clone()),
-                None => usage(),
-            },
-            "--serve-clients" => match it.next().and_then(|n| n.parse().ok()) {
-                Some(n) if n >= 1 => opts.serve_clients = Some(n),
-                _ => usage(),
-            },
-            _ => usage(),
-        }
-    }
-    opts
-}
-
 /// Validates an artifact file: JSON parse, version-aware upgrade,
 /// structural schema. A v1-era artifact passes through the upgrade shim
 /// first and the verdict says so.
 fn check_artifact(path: &str) -> i32 {
-    let (doc, upgraded) = match read_bench_artifact(path) {
-        Ok(pair) => pair,
-        Err(e) => {
-            eprintln!("aov bench: {e}");
-            return 1;
-        }
+    let Some((doc, upgraded)) = ok_or_print("aov bench", read_bench_artifact(path)) else {
+        return 1;
     };
-    if let Err(errors) = observatory::validate(&doc) {
-        eprintln!("aov bench: {path}: schema violations:");
-        for e in &errors {
-            eprintln!("  {e}");
-        }
+    if !schema_ok(
+        observatory::validate(&doc),
+        &format!("aov bench: {path}: schema violations:"),
+    ) {
         return 1;
     }
     eprintln!(
@@ -674,34 +595,45 @@ fn check_artifact(path: &str) -> i32 {
     0
 }
 
-fn read_artifact(path: &str) -> Result<Json, String> {
-    let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
-    Json::parse(&text).map_err(|e| format!("{path}: invalid JSON: {e}"))
-}
-
 /// Reads a benchmark artifact and lifts it to the current schema
 /// version through [`observatory::upgrade`]; the flag reports whether
 /// the shim did any work (the on-disk file was v1).
 fn read_bench_artifact(path: &str) -> Result<(Json, bool), String> {
-    let doc = read_artifact(path)?;
+    let doc = read_json(path)?;
     observatory::upgrade(doc).map_err(|e| format!("{path}: {e}"))
 }
 
 fn bench_main(args: &[String]) -> i32 {
-    let opts = parse_bench(args);
-    if let Some(path) = &opts.check {
+    let mut cfg = SuiteConfig::default();
+    let (mut out, mut baseline, mut check, mut serve_clients) = (None, None, None, None);
+    let mut fail_on_regression = false;
+    let mut a = Args::new(args);
+    while let Some(arg) = a.next() {
+        match arg {
+            f if a.budget(f, &mut cfg.budget) => {}
+            "--runs" => cfg.runs = a.positive(),
+            "--out" => out = Some(a.value()),
+            "--baseline" => baseline = Some(a.value()),
+            "--fail-on-regression" => fail_on_regression = true,
+            "--examples" => {
+                cfg.examples = a.list();
+                cfg.examples.retain(|s| !s.is_empty());
+                if cfg.examples.is_empty() {
+                    usage();
+                }
+            }
+            "--workers" => cfg.workers = a.num(),
+            "--quick" => cfg.quick = true,
+            "--no-figures" => cfg.figures = false,
+            "--check" => check = Some(a.value()),
+            "--profile-dir" => cfg.profile_dir = Some(a.value().into()),
+            "--serve-clients" => serve_clients = Some(a.positive()),
+            _ => usage(),
+        }
+    }
+    if let Some(path) = &check {
         return check_artifact(path);
     }
-    let cfg = SuiteConfig {
-        examples: opts.examples.clone(),
-        runs: opts.runs,
-        workers: opts.workers,
-        quick: opts.quick,
-        figures: opts.figures,
-        budget: opts.budget,
-        profile_dir: opts.profile_dir.clone().map(Into::into),
-        ..SuiteConfig::default()
-    };
     eprintln!(
         "aov bench: {} × {} run(s), workers {}{}",
         cfg.examples.join(","),
@@ -709,17 +641,13 @@ fn bench_main(args: &[String]) -> i32 {
         cfg.workers,
         if cfg.quick { ", quick" } else { "" }
     );
-    let mut artifact = match observatory::run_suite(&cfg) {
-        Ok(a) => a,
-        Err(e) => {
-            eprintln!("aov bench: {e}");
-            return 1;
-        }
+    let Some(mut artifact) = ok_or_print("aov bench", observatory::run_suite(&cfg)) else {
+        return 1;
     };
     // The load test runs after the suite so its warm shared memo tier
     // cannot perturb the suite's own memo economics; its summary rides
     // along in the artifact but no regression gate reads it.
-    if let Some(clients) = opts.serve_clients {
+    if let Some(clients) = serve_clients {
         // The campaign corpus stays the loadtest default (example1):
         // identical cheap solves are exactly what exercises admission,
         // backoff and the shared memo tier; the expensive corpus
@@ -765,25 +693,18 @@ fn bench_main(args: &[String]) -> i32 {
     }
 
     let doc = artifact.to_json();
-    if let Err(errors) = observatory::validate(&doc) {
-        eprintln!("aov bench: internal error: artifact fails its own schema:");
-        for e in &errors {
-            eprintln!("  {e}");
-        }
+    if !schema_ok(
+        observatory::validate(&doc),
+        "aov bench: internal error: artifact fails its own schema:",
+    ) {
         return 1;
     }
-    match &opts.out {
-        Some(path) => {
-            if let Err(e) = std::fs::write(path, doc.to_pretty()) {
-                eprintln!("aov bench: cannot write {path}: {e}");
-                return 1;
-            }
-            eprintln!("aov bench: artifact written to {path}");
-        }
-        None => {
-            use std::io::Write;
-            let _ = std::io::stdout().write_all(doc.to_pretty().as_bytes());
-        }
+    if let Err(e) = write_json(&doc, false, out.as_deref()) {
+        eprintln!("aov bench: {e}");
+        return 1;
+    }
+    if let Some(path) = &out {
+        eprintln!("aov bench: artifact written to {path}");
     }
 
     if !artifact.figures.iter().all(|f| f.reproduced) {
@@ -791,7 +712,7 @@ fn bench_main(args: &[String]) -> i32 {
         return 1;
     }
 
-    match &opts.baseline {
+    match &baseline {
         None => {
             eprintln!("aov bench: no baseline given; skipping comparison");
             0
@@ -814,7 +735,7 @@ fn bench_main(args: &[String]) -> i32 {
             };
             let cmp = regress::compare(&baseline, &doc, &regress::Tolerance::default());
             eprint!("{}", cmp.render());
-            if cmp.has_regressions() && opts.fail_on_regression {
+            if cmp.has_regressions() && fail_on_regression {
                 eprintln!("aov bench: FAILED: regressions beyond tolerance");
                 1
             } else {
@@ -828,33 +749,22 @@ fn bench_main(args: &[String]) -> i32 {
 /// artifacts. Exit 0 clean, 1 when any metric regresses beyond
 /// tolerance, 64 on usage.
 fn pdiff_main(args: &[String]) -> i32 {
-    let mut paths: Vec<&str> = Vec::new();
-    for arg in args {
-        match arg.as_str() {
-            p if !p.starts_with('-') => paths.push(p),
-            _ => usage(),
-        }
+    if args.iter().any(|a| a.starts_with('-')) {
+        usage();
     }
-    let [base_path, new_path] = paths[..] else {
-        usage()
-    };
+    let [base_path, new_path] = args else { usage() };
     let mut docs = Vec::new();
     for path in [base_path, new_path] {
-        let doc = match read_artifact(path) {
-            Ok(doc) => doc,
-            Err(e) => {
-                eprintln!("aov pdiff: {e}");
-                return 1;
-            }
+        let Some(doc) = ok_or_print("aov pdiff", read_json(path)) else {
+            return 1;
         };
-        if let Err(errors) = aov_engine::profile::validate(&doc) {
-            eprintln!(
+        if !schema_ok(
+            aov_engine::profile::validate(&doc),
+            &format!(
                 "aov pdiff: {path}: not a valid {} artifact:",
                 aov_engine::profile::SCHEMA
-            );
-            for e in &errors {
-                eprintln!("  {e}");
-            }
+            ),
+        ) {
             return 1;
         }
         docs.push(doc);
@@ -880,13 +790,10 @@ fn trend_main(args: &[String]) -> i32 {
     let mut paths: Vec<&str> = Vec::new();
     let mut out: Option<String> = None;
     let mut compact = false;
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--out" => match it.next() {
-                Some(f) => out = Some(f.clone()),
-                None => usage(),
-            },
+    let mut a = Args::new(args);
+    while let Some(arg) = a.next() {
+        match arg {
+            "--out" => out = Some(a.value()),
             "--compact" => compact = true,
             p if !p.starts_with('-') => paths.push(p),
             _ => usage(),
@@ -901,18 +808,13 @@ fn trend_main(args: &[String]) -> i32 {
     }
     let mut inputs: Vec<(String, Json)> = Vec::new();
     for path in paths {
-        let (doc, upgraded) = match read_bench_artifact(path) {
-            Ok(pair) => pair,
-            Err(e) => {
-                eprintln!("aov trend: {e}");
-                return 1;
-            }
+        let Some((doc, upgraded)) = ok_or_print("aov trend", read_bench_artifact(path)) else {
+            return 1;
         };
-        if let Err(errors) = observatory::validate(&doc) {
-            eprintln!("aov trend: {path}: schema violations:");
-            for e in &errors {
-                eprintln!("  {e}");
-            }
+        if !schema_ok(
+            observatory::validate(&doc),
+            &format!("aov trend: {path}: schema violations:"),
+        ) {
             return 1;
         }
         if upgraded {
@@ -928,32 +830,23 @@ fn trend_main(args: &[String]) -> i32 {
             .map_or_else(|| path.to_string(), |n| n.to_string_lossy().into_owned());
         inputs.push((label, doc));
     }
-    let trend = match aov_bench::trend::analyze(&inputs, &regress::Tolerance::default()) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("aov trend: {e}");
-            return 1;
-        }
+    let Some(trend) = ok_or_print(
+        "aov trend",
+        aov_bench::trend::analyze(&inputs, &regress::Tolerance::default()),
+    ) else {
+        return 1;
     };
     print!("{}", trend.render());
     if let Some(path) = &out {
         let doc = trend.to_json();
-        if let Err(errors) = aov_bench::trend::validate(&doc) {
-            eprintln!("aov trend: internal error: document fails its own schema:");
-            for e in &errors {
-                eprintln!("  {e}");
-            }
+        if !schema_ok(
+            aov_bench::trend::validate(&doc),
+            "aov trend: internal error: document fails its own schema:",
+        ) {
             return 1;
         }
-        let text = if compact {
-            let mut line = doc.to_compact();
-            line.push('\n');
-            line
-        } else {
-            doc.to_pretty()
-        };
-        if let Err(e) = std::fs::write(path, text) {
-            eprintln!("aov trend: cannot write {path}: {e}");
+        if let Err(e) = write_json(&doc, compact, Some(path)) {
+            eprintln!("aov trend: {e}");
             return 1;
         }
         eprintln!("aov trend: document written to {path}");
@@ -986,8 +879,10 @@ fn jarr<'a>(j: &'a Json, key: &str) -> &'a [Json] {
 }
 
 /// `aov inspect`: render (or, with `--check`, just validate) one
-/// `aov-diag/1` crash-diagnostic bundle.
+/// schema-tagged document: a crash bundle, a profile artifact, a trend
+/// document, a serve transcript, a metrics document or an access log.
 fn inspect_main(args: &[String]) -> i32 {
+    use aov_serve::{protocol, telemetry};
     let mut path: Option<&str> = None;
     let mut check = false;
     for arg in args {
@@ -998,87 +893,59 @@ fn inspect_main(args: &[String]) -> i32 {
         }
     }
     let Some(path) = path else { usage() };
-    let text = match std::fs::read_to_string(path) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("aov inspect: {path}: {e}");
-            return 1;
-        }
+    let Some(text) = ok_or_print("aov inspect", read_text(path)) else {
+        return 1;
     };
     // Access logs are JSONL, not one document: detect them by the
     // first line's schema tag before whole-file parsing can reject
     // them, then validate every line.
     if let Some(first) = text.lines().find(|l| !l.trim().is_empty()) {
         if let Ok(j) = Json::parse(first.trim()) {
-            if j.get("schema") == Some(&Json::Str(aov_serve::telemetry::ACCESS_SCHEMA.to_string()))
-            {
+            if jstr(&j, "schema") == telemetry::ACCESS_SCHEMA {
                 return inspect_access_log(path, &text, check);
             }
         }
     }
-    let doc = match Json::parse(&text) {
-        Ok(j) => j,
-        Err(e) => {
-            eprintln!("aov inspect: {path}: invalid JSON: {e}");
-            return 1;
-        }
+    let Some(doc) = ok_or_print("aov inspect", parse_json(path, &text)) else {
+        return 1;
     };
-    // The schema tag picks the renderer: crash bundles and profile
-    // artifacts share this entry point. Version gate and schema
-    // validation run in both modes; --check just stops after the
-    // verdict.
-    let tag = match doc.get("schema") {
-        Some(Json::Str(v)) => v.clone(),
-        other => {
-            eprintln!(
-                "aov inspect: {path}: unsupported schema {other:?} (want {:?}, {:?} or {:?})",
-                aov_engine::diag::SCHEMA,
-                aov_engine::profile::SCHEMA,
-                aov_bench::trend::SCHEMA_VERSION
-            );
-            return 1;
+    // The schema tag picks the schema and the renderer. Validation runs
+    // in both modes; --check just stops after the verdict.
+    let tag = jstr(&doc, "schema");
+    let (schema, render): (_, fn(&str, &Json)) = match tag {
+        aov_engine::diag::SCHEMA => (aov_engine::diag::diag_schema(), render_bundle),
+        aov_engine::profile::SCHEMA => (
+            aov_engine::profile::profile_schema(),
+            render_profile_artifact,
+        ),
+        aov_bench::trend::SCHEMA_VERSION => {
+            (aov_bench::trend::trend_schema(), render_trend_document)
         }
-    };
-    let schema = match tag.as_str() {
-        t if t == aov_engine::diag::SCHEMA => aov_engine::diag::diag_schema(),
-        t if t == aov_engine::profile::SCHEMA => aov_engine::profile::profile_schema(),
-        t if t == aov_bench::trend::SCHEMA_VERSION => aov_bench::trend::trend_schema(),
-        t if t == aov_serve::protocol::SCHEMA => aov_serve::protocol::transcript_schema(),
-        t if t == aov_serve::telemetry::SVCMETRICS_SCHEMA => {
-            aov_serve::telemetry::svcmetrics_schema()
-        }
+        protocol::SCHEMA => (protocol::transcript_schema(), render_transcript),
+        telemetry::SVCMETRICS_SCHEMA => (telemetry::svcmetrics_schema(), render_svcmetrics),
         _ => {
             eprintln!(
-                "aov inspect: {path}: unsupported schema {tag:?} (want {:?}, {:?}, {:?} or {:?})",
+                "aov inspect: {path}: unsupported schema {tag:?} (want {:?}, {:?}, {:?}, {:?}, {:?} or {:?})",
                 aov_engine::diag::SCHEMA,
                 aov_engine::profile::SCHEMA,
                 aov_bench::trend::SCHEMA_VERSION,
-                aov_serve::protocol::SCHEMA,
+                protocol::SCHEMA,
+                telemetry::SVCMETRICS_SCHEMA,
+                telemetry::ACCESS_SCHEMA,
             );
             return 1;
         }
     };
-    if let Err(errors) = aov_support::schema::validate(&doc, &schema) {
-        eprintln!("aov inspect: {path}: schema violations:");
-        for e in &errors {
-            eprintln!("  {e}");
-        }
+    if !schema_ok(
+        aov_support::schema::validate(&doc, &schema),
+        &format!("aov inspect: {path}: schema violations:"),
+    ) {
         return 1;
     }
     if check {
         eprintln!("aov inspect: {path}: ok ({tag})");
-        return 0;
-    }
-    if tag == aov_engine::profile::SCHEMA {
-        render_profile_artifact(path, &doc);
-    } else if tag == aov_bench::trend::SCHEMA_VERSION {
-        render_trend_document(path, &doc);
-    } else if tag == aov_serve::protocol::SCHEMA {
-        render_transcript(path, &doc);
-    } else if tag == aov_serve::telemetry::SVCMETRICS_SCHEMA {
-        render_svcmetrics(path, &doc);
     } else {
-        render_bundle(path, &doc);
+        render(path, &doc);
     }
     0
 }
@@ -1094,18 +961,14 @@ fn inspect_access_log(path: &str, text: &str, check: bool) -> i32 {
         if line.trim().is_empty() {
             continue;
         }
-        let doc = match Json::parse(line.trim()) {
-            Ok(j) => j,
-            Err(e) => {
-                eprintln!("aov inspect: {path}:{}: invalid JSON: {e}", no + 1);
-                return 1;
-            }
+        let origin = format!("{path}:{}", no + 1);
+        let Some(doc) = ok_or_print("aov inspect", parse_json(&origin, line.trim())) else {
+            return 1;
         };
-        if let Err(errors) = aov_support::schema::validate(&doc, &schema) {
-            eprintln!("aov inspect: {path}:{}: schema violations:", no + 1);
-            for e in &errors {
-                eprintln!("  {e}");
-            }
+        if !schema_ok(
+            aov_support::schema::validate(&doc, &schema),
+            &format!("aov inspect: {origin}: schema violations:"),
+        ) {
             return 1;
         }
         lines += 1;
@@ -1386,33 +1249,16 @@ fn fuzz_main(args: &[String]) -> i32 {
     let mut out: Option<String> = None;
     let mut compact = false;
     let mut budget = BudgetSpec::default();
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        if parse_budget_flag(&mut budget, arg, &mut it) {
-            continue;
-        }
-        match arg.as_str() {
-            "--seed" => match it.next().and_then(|s| s.parse().ok()) {
-                Some(s) => seed = s,
-                None => usage(),
-            },
-            "--count" => match it.next().and_then(|n| n.parse().ok()) {
-                Some(n) => count = n,
-                None => usage(),
-            },
+    let mut a = Args::new(args);
+    while let Some(arg) = a.next() {
+        match arg {
+            f if a.budget(f, &mut budget) => {}
+            "--seed" => seed = a.num(),
+            "--count" => count = a.num(),
             "--quick" => quick = true,
-            "--workers" => match it.next().and_then(|w| w.parse().ok()) {
-                Some(w) => workers = w,
-                None => usage(),
-            },
-            "--repro-dir" => match it.next() {
-                Some(d) => repro_dir = Some(d.clone()),
-                None => usage(),
-            },
-            "--out" => match it.next() {
-                Some(f) => out = Some(f.clone()),
-                None => usage(),
-            },
+            "--workers" => workers = a.num(),
+            "--repro-dir" => repro_dir = Some(a.value()),
+            "--out" => out = Some(a.value()),
             "--compact" => compact = true,
             _ => usage(),
         }
@@ -1476,26 +1322,12 @@ fn fuzz_main(args: &[String]) -> i32 {
             eprintln!("aov fuzz: {label:<8} case wall µs: min {min}, median {median}, max {max}");
         }
     }
-    let doc = summary.to_json();
-    let text = if compact {
-        let mut line = doc.to_compact();
-        line.push('\n');
-        line
-    } else {
-        doc.to_pretty()
-    };
-    match &out {
-        Some(path) => {
-            if let Err(e) = std::fs::write(path, &text) {
-                eprintln!("aov fuzz: cannot write {path}: {e}");
-                return 2;
-            }
-            eprintln!("aov fuzz: summary written to {path}");
-        }
-        None => {
-            use std::io::Write;
-            let _ = std::io::stdout().write_all(text.as_bytes());
-        }
+    if let Err(e) = write_json(&summary.to_json(), compact, out.as_deref()) {
+        eprintln!("aov fuzz: {e}");
+        return 2;
+    }
+    if let Some(path) = &out {
+        eprintln!("aov fuzz: summary written to {path}");
     }
     summary.exit_code()
 }
@@ -1509,50 +1341,20 @@ fn aovd_main(args: &[String]) -> i32 {
         addr: "127.0.0.1:7401".to_string(),
         ..aov_serve::server::ServerConfig::default()
     };
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--addr" => match it.next() {
-                Some(a) => cfg.addr = a.clone(),
-                None => usage(),
-            },
-            "--workers" => match it.next().and_then(|w| w.parse().ok()) {
-                Some(w) => cfg.workers = w,
-                None => usage(),
-            },
-            "--queue" => match it.next().and_then(|q| q.parse().ok()) {
-                Some(q) => cfg.queue_limit = q,
-                None => usage(),
-            },
+    let mut a = Args::new(args);
+    while let Some(arg) = a.next() {
+        match arg {
+            "--addr" => cfg.addr = a.value(),
+            "--workers" => cfg.workers = a.num(),
+            "--queue" => cfg.queue_limit = a.num(),
             "--no-memo" => cfg.memo = false,
-            "--memo-capacity" => match it.next().and_then(|n| n.parse().ok()) {
-                Some(n) => cfg.memo_capacity = n,
-                None => usage(),
-            },
-            "--pivot-pool" => match it.next().and_then(|n| n.parse().ok()) {
-                Some(n) => cfg.pivot_pool = Some(n),
-                None => usage(),
-            },
-            "--deadline-ms" => match it.next().and_then(|n| n.parse().ok()) {
-                Some(n) => cfg.default_deadline_ms = Some(n),
-                None => usage(),
-            },
-            "--diag-dir" => match it.next() {
-                Some(d) => cfg.diag_dir = Some(d.into()),
-                None => usage(),
-            },
-            "--retry-after-ms" => match it.next().and_then(|n| n.parse().ok()) {
-                Some(n) => cfg.retry_after_ms = n,
-                None => usage(),
-            },
-            "--access-log" => match it.next() {
-                Some(f) => cfg.access_log = Some(f.into()),
-                None => usage(),
-            },
-            "--access-log-max-bytes" => match it.next().and_then(|n| n.parse().ok()) {
-                Some(n) => cfg.access_log_max_bytes = n,
-                None => usage(),
-            },
+            "--memo-capacity" => cfg.memo_capacity = a.num(),
+            "--pivot-pool" => cfg.pivot_pool = Some(a.num()),
+            "--deadline-ms" => cfg.default_deadline_ms = Some(a.num()),
+            "--diag-dir" => cfg.diag_dir = Some(a.value().into()),
+            "--retry-after-ms" => cfg.retry_after_ms = a.num(),
+            "--access-log" => cfg.access_log = Some(a.value().into()),
+            "--access-log-max-bytes" => cfg.access_log_max_bytes = a.num(),
             _ => usage(),
         }
     }
@@ -1564,12 +1366,9 @@ fn aovd_main(args: &[String]) -> i32 {
         return 64;
     }
     let sigterm = aov_serve::server::sigterm_flag();
-    let server = match aov_serve::server::Server::start(cfg) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("aovd: cannot start: {e}");
-            return 2;
-        }
+    let Some(server) = ok_or_print("aovd: cannot start", aov_serve::server::Server::start(cfg))
+    else {
+        return 2;
     };
     println!("aovd: listening on {}", server.addr());
     loop {
@@ -1599,6 +1398,19 @@ fn render_event(e: &Json) -> String {
         jint(e, "a"),
         jint(e, "b")
     )
+}
+
+/// The exit code a daemon reply maps to: a report's own `exit_code`,
+/// 2 for an error frame, 0 for the plain frames.
+fn frame_exit_code(frame: &Json) -> i32 {
+    match jstr(frame, "type") {
+        "report" => match frame.get("exit_code") {
+            Some(Json::Int(code)) => i32::try_from(*code).unwrap_or(2),
+            _ => 2,
+        },
+        "error" => 2,
+        _ => 0,
+    }
 }
 
 /// Runs a streaming request (`watch`, or a solve with `--follow`):
@@ -1634,14 +1446,7 @@ fn client_stream(addr: &str, request: &Json) -> i32 {
     match outcome {
         Ok(frame) => {
             println!("{}", frame.to_pretty());
-            match frame.get("type") {
-                Some(Json::Str(t)) if t == "report" => match frame.get("exit_code") {
-                    Some(Json::Int(code)) => i32::try_from(*code).unwrap_or(2),
-                    _ => 2,
-                },
-                Some(Json::Str(t)) if t == "error" => 2,
-                _ => 0,
-            }
+            frame_exit_code(&frame)
         }
         Err(e) => {
             eprintln!("aov client: {e}");
@@ -1664,55 +1469,26 @@ fn client_main(args: &[String]) -> i32 {
     let mut follow = false;
     let mut watch = false;
     let mut for_ms: Option<u64> = None;
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        if parse_budget_flag(&mut options.budget, arg, &mut it) {
-            continue;
-        }
-        match arg.as_str() {
-            "--addr" => match it.next() {
-                Some(a) => cfg.addr = a.clone(),
-                None => usage(),
-            },
-            "--example" => match it.next() {
-                Some(name) => program = Some((name.clone(), true)),
-                None => usage(),
-            },
-            "--stats" => plain = Some("stats"),
-            "--health" => plain = Some("health"),
-            "--shutdown" => plain = Some("shutdown"),
-            "--metrics" => plain = Some("metrics"),
+    let mut a = Args::new(args);
+    while let Some(arg) = a.next() {
+        match arg {
+            f if a.budget(f, &mut options.budget) => {}
+            "--addr" => cfg.addr = a.value(),
+            "--example" => program = Some((a.value(), true)),
+            "--stats" | "--health" | "--shutdown" | "--metrics" => plain = Some(&arg[2..]),
             "--follow" => follow = true,
             "--watch" => watch = true,
-            "--for-ms" => match it.next().and_then(|n| n.parse().ok()) {
-                Some(n) => for_ms = Some(n),
-                None => usage(),
-            },
-            "--workers" => match it.next().and_then(|w| w.parse().ok()) {
-                Some(w) => options.workers = w,
-                None => usage(),
-            },
+            "--for-ms" => for_ms = Some(a.num()),
+            "--workers" => options.workers = a.num(),
             "--memoize" => options.memoize = true,
-            "--deadline-ms" => match it.next().and_then(|n| n.parse().ok()) {
-                Some(n) => options.deadline_ms = Some(n),
-                None => usage(),
-            },
-            "--chaos" => match it.next() {
-                Some(spec) => options.chaos = Some(spec.clone()),
-                None => usage(),
-            },
-            "--retries" => match it.next().and_then(|n| n.parse().ok()) {
-                Some(n) => cfg.retries = n,
-                None => usage(),
-            },
-            "--transcript" => match it.next() {
-                Some(f) => transcript_path = Some(f.clone()),
-                None => usage(),
-            },
-            path if !path.starts_with('-') => match std::fs::read_to_string(path) {
+            "--deadline-ms" => options.deadline_ms = Some(a.num()),
+            "--chaos" => options.chaos = Some(a.value()),
+            "--retries" => cfg.retries = a.num(),
+            "--transcript" => transcript_path = Some(a.value()),
+            path if !path.starts_with('-') => match read_text(path) {
                 Ok(text) => program = Some((text, false)),
                 Err(e) => {
-                    eprintln!("aov client: {path}: {e}");
+                    eprintln!("aov client: {e}");
                     return 2;
                 }
             },
@@ -1760,14 +1536,7 @@ fn client_main(args: &[String]) -> i32 {
                     outcome.attempts, outcome.overloaded_retries
                 );
             }
-            match outcome.frame.get("type") {
-                Some(Json::Str(t)) if t == "report" => match outcome.frame.get("exit_code") {
-                    Some(Json::Int(code)) => i32::try_from(*code).unwrap_or(2),
-                    _ => 2,
-                },
-                Some(Json::Str(t)) if t == "error" => 2,
-                _ => 0,
-            }
+            frame_exit_code(&outcome.frame)
         }
         Err(e) => {
             eprintln!("aov client: {e}");
@@ -1786,15 +1555,12 @@ fn top_main(args: &[String]) -> i32 {
     let mut addr = "127.0.0.1:7401".to_string();
     let mut interval_ms: u64 = 1_000;
     let mut once = false;
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--interval-ms" => match it.next().and_then(|n| n.parse().ok()) {
-                Some(n) => interval_ms = n,
-                None => usage(),
-            },
+    let mut a = Args::new(args);
+    while let Some(arg) = a.next() {
+        match arg {
+            "--interval-ms" => interval_ms = a.num(),
             "--once" => once = true,
-            a if !a.starts_with('-') => addr = a.to_string(),
+            other if !other.starts_with('-') => addr = other.to_string(),
             _ => usage(),
         }
     }
@@ -1907,50 +1673,39 @@ fn main() {
     // read lazily by the recorder itself; the flag wins because
     // set_slots overrides the environment.
     while let Some(i) = args.iter().position(|a| a == "--recorder-slots") {
-        let Some(n) = args.get(i + 1).and_then(|v| v.parse::<usize>().ok()) else {
-            usage()
-        };
+        let n = Args::new(&args[i + 1..]).num();
         args.drain(i..=i + 1);
         if !aov_trace::recorder::set_slots(n) {
             eprintln!("aov: --recorder-slots: the recorder ring is already sized");
             std::process::exit(64);
         }
     }
-    if args.first().map(String::as_str) == Some("bench") {
-        std::process::exit(bench_main(&args[1..]));
-    }
-    if args.first().map(String::as_str) == Some("trend") {
-        std::process::exit(trend_main(&args[1..]));
-    }
-    if args.first().map(String::as_str) == Some("inspect") {
-        std::process::exit(inspect_main(&args[1..]));
-    }
-    if args.first().map(String::as_str) == Some("fuzz") {
-        std::process::exit(fuzz_main(&args[1..]));
-    }
-    if args.first().map(String::as_str) == Some("pdiff") {
-        std::process::exit(pdiff_main(&args[1..]));
-    }
-    if args.first().map(String::as_str) == Some("aovd") {
-        std::process::exit(aovd_main(&args[1..]));
-    }
-    if args.first().map(String::as_str) == Some("client") {
-        std::process::exit(client_main(&args[1..]));
-    }
-    if args.first().map(String::as_str) == Some("top") {
-        std::process::exit(top_main(&args[1..]));
-    }
-    let run_mode = args.first().map(String::as_str) == Some("run");
-    let opts = parse(if run_mode { &args[1..] } else { &args }, run_mode);
+    let rest = args.get(1..).unwrap_or_default();
+    std::process::exit(match args.first().map(String::as_str) {
+        Some("bench") => bench_main(rest),
+        Some("trend") => trend_main(rest),
+        Some("inspect") => inspect_main(rest),
+        Some("fuzz") => fuzz_main(rest),
+        Some("pdiff") => pdiff_main(rest),
+        Some("aovd") => aovd_main(rest),
+        Some("client") => client_main(rest),
+        Some("top") => top_main(rest),
+        Some("run") => run_main(&parse(rest, true)),
+        _ => run_main(&parse(&args, false)),
+    });
+}
 
+/// Runs the pipeline over every requested program and prints the
+/// report(s); returns the exit status (see the module docs).
+fn run_main(opts: &Options) -> i32 {
     if let Some(path) = &opts.check_trace {
-        std::process::exit(check_trace(path));
+        return check_trace(path);
     }
     if let Some(path) = &opts.check_report {
-        std::process::exit(check_report(path));
+        return check_report(path);
     }
     if opts.check_syntax {
-        std::process::exit(check_syntax_main(&opts));
+        return check_syntax_main(opts);
     }
 
     // Arm chaos injection: the --chaos flag wins over AOV_CHAOS.
@@ -1959,13 +1714,13 @@ fn main() {
             Ok(parsed) => chaos::install(parsed),
             Err(e) => {
                 eprintln!("aov: --chaos: {e}");
-                std::process::exit(64);
+                return 64;
             }
         },
         None => {
             if let Err(e) = chaos::install_from_env() {
                 eprintln!("aov: AOV_CHAOS: {e}");
-                std::process::exit(64);
+                return 64;
             }
         }
     }
@@ -2104,23 +1859,14 @@ fn main() {
     } else {
         Json::Arr(reports)
     };
-    let text = if opts.compact {
-        let mut line = json.to_compact();
-        line.push('\n');
-        line
-    } else {
-        json.to_pretty()
-    };
-    // Ignore broken pipes (e.g. `aov … | head`).
-    use std::io::Write;
-    let _ = std::io::stdout().write_all(text.as_bytes());
-    std::process::exit(if any_degraded {
+    let _ = write_json(&json, opts.compact, None);
+    if any_degraded {
         3
     } else if any_inequivalent {
         1
     } else {
         0
-    });
+    }
 }
 
 /// Per-example profile: flame table plus the run's memo economics;
